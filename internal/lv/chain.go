@@ -150,6 +150,104 @@ func propensities(p Params, s State) ([numEvents]float64, float64) {
 	return props, total
 }
 
+// scanPick is the direct method's channel selection: the first channel with
+// positive propensity whose running sum exceeds u, where u is a uniform point
+// of [0, total). When rounding makes u reach the total, no running sum
+// exceeds it and the last positive channel is returned.
+func scanPick(props *[numEvents]float64, u float64) EventKind {
+	acc := 0.0
+	kind := numEvents - 1
+	for k, v := range props {
+		if v == 0 {
+			continue
+		}
+		acc += v
+		kind = EventKind(k)
+		if u < acc {
+			break
+		}
+	}
+	return kind
+}
+
+// Exactness bounds of the integer event pick. With every rate an integer
+// ≤ maxIntRate = 2¹⁰ and both counts below maxIntCount = 2²⁰, each
+// propensity is an exact integer (births and deaths < 2³⁰, interspecific
+// < 2⁵⁰, intraspecific < 2⁴⁹) and so are all running sums, whose total
+// stays below 2⁵². The float scan's test u < acc against an integer acc is
+// then the integer test ⌊u⌋ < acc.
+const (
+	maxIntRate  = 1 << 10
+	maxIntCount = 1 << 20
+)
+
+// intRates are the six rate constants as integers.
+type intRates struct {
+	beta, delta, alpha0, alpha1, gamma0, gamma1 int64
+}
+
+// integralRates returns p's rates as integers, and whether every rate is an
+// integer no larger than maxIntRate (the integer pick's precondition).
+func integralRates(p Params) (intRates, bool) {
+	rates := [6]float64{p.Beta, p.Delta, p.Alpha[0], p.Alpha[1], p.Gamma[0], p.Gamma[1]}
+	for _, v := range rates {
+		if v != math.Trunc(v) || v > maxIntRate {
+			return intRates{}, false
+		}
+	}
+	return intRates{
+		beta: int64(p.Beta), delta: int64(p.Delta),
+		alpha0: int64(p.Alpha[0]), alpha1: int64(p.Alpha[1]),
+		gamma0: int64(p.Gamma[0]), gamma1: int64(p.Gamma[1]),
+	}, true
+}
+
+// cumWeights returns the float scan's cumulative channel weights c₃ (births
+// and deaths), c₅ (plus interspecific competition) and the total c₇ in
+// state (x0, x1). Both counts must be below maxIntCount.
+func (w *intRates) cumWeights(x0, x1 int64) (c3, c5, total int64) {
+	c3 = (w.beta + w.delta) * (x0 + x1)
+	c5 = c3 + (w.alpha0+w.alpha1)*x0*x1
+	return c3, c5, c5 + (w.gamma0*x0*(x0-1)+w.gamma1*x1*(x1-1))>>1
+}
+
+// intPoint maps scanPick's uniform point u of [0, total] to the integer
+// point r = ⌊u⌋ of [0, total). The float product Float64()·total can round
+// up to total itself; the scan then falls through to the last positive
+// channel, which r = total − 1 selects.
+func intPoint(u float64, total int64) int64 {
+	if r := int64(u); r < total {
+		return r
+	}
+	return total - 1
+}
+
+// pick is the integer, class-first form of scanPick. For r = intPoint(u,
+// total) and the cumulative weights c3, c5 of state (x0, x1), it returns
+// the channel k with c_{k−1} ≤ r < c_k — exactly scanPick's choice for u.
+// The class is chosen first (intraspecific if r ≥ c₅, competitive if
+// r ≥ c₃, otherwise individual), then the species within it without a
+// branch: in neutral runs the species is a coin flip no predictor learns.
+func (w *intRates) pick(r, c3, c5, x0, x1 int64) EventKind {
+	if r >= c5 {
+		return Intra1 - below(r-c5, w.gamma0*x0*(x0-1)>>1)
+	}
+	if r >= c3 {
+		return Inter1 - below(r-c3, w.alpha0*x0*x1)
+	}
+	if births := w.beta * (x0 + x1); r >= births {
+		return Death1 - below(r-births, w.delta*x0)
+	}
+	return Birth1 - below(r, w.beta*x0)
+}
+
+// below is 1 if a < b and 0 otherwise, computed without a branch from the
+// sign of a − b; both operands lie in [0, 2⁵²), so the difference cannot
+// overflow.
+func below(a, b int64) EventKind {
+	return EventKind(uint64(a-b) >> 63)
+}
+
 // apply fires the given channel on s and returns the successor state.
 func apply(p Params, s State, k EventKind) State {
 	switch k {
@@ -198,19 +296,7 @@ func (c *Chain) Step() (kind EventKind, ok bool) {
 	if c.trackTime {
 		c.time += c.src.Exp(total)
 	}
-	u := c.src.Float64() * total
-	acc := 0.0
-	kind = numEvents - 1
-	for k, v := range props {
-		if v == 0 {
-			continue
-		}
-		acc += v
-		kind = EventKind(k)
-		if u < acc {
-			break
-		}
-	}
+	kind = scanPick(&props, c.src.Float64()*total)
 	c.state = apply(c.params, c.state, kind)
 	c.steps++
 	return kind, true
@@ -321,13 +407,15 @@ func (c *Chain) runToConsensus(maxSteps int) Outcome {
 	}
 
 	// Precomputed rate coefficients and hot-loop state, hoisted out of
-	// the event loop. The propensity expressions and the event switch
-	// below deliberately duplicate propensities() and apply() — calling
-	// them per event costs ~25% (they are beyond the inliner's budget,
-	// and Params travels by value) — so any semantics change there must
-	// land here too; TestFusedKernelByteIdenticalToStepLoop compares the
-	// two paths event for event across every regime and trips on any
-	// divergence.
+	// the event loop. The float propensity expressions and the event
+	// switch below deliberately duplicate propensities() and apply() —
+	// calling them per event costs ~25% (they are beyond the inliner's
+	// budget, and Params travels by value) — so any semantics change there
+	// must land here too. With integral rates the event is instead picked
+	// by intRates.pick, which selects the same channel from the same draw
+	// (see maxIntRate). TestFusedKernelByteIdenticalToStepLoop compares
+	// the kernel with the Step loop event for event across every regime
+	// and both pick paths, and trips on any divergence.
 	var (
 		beta, dlt = c.params.Beta, c.params.Delta
 		a0, a1    = c.params.Alpha[0], c.params.Alpha[1]
@@ -340,6 +428,7 @@ func (c *Chain) runToConsensus(maxSteps int) Outcome {
 		t         = c.time
 		consensus = false
 	)
+	ir, integral := integralRates(c.params)
 
 	for {
 		if x0 == 0 || x1 == 0 {
@@ -350,43 +439,46 @@ func (c *Chain) runToConsensus(maxSteps int) Outcome {
 			break
 		}
 
-		// Propensities, in EventKind order with the exact expressions of
-		// propensities() so the selection below is bit-identical to Step.
-		fx0, fx1 := float64(x0), float64(x1)
-		var props [numEvents]float64
-		props[Birth0] = beta * fx0
-		props[Birth1] = beta * fx1
-		props[Death0] = dlt * fx0
-		props[Death1] = dlt * fx1
-		props[Inter0] = a0 * fx0 * fx1
-		props[Inter1] = a1 * fx0 * fx1
-		props[Intra0] = g0 * fx0 * (fx0 - 1) / 2
-		props[Intra1] = g1 * fx1 * (fx1 - 1) / 2
-		var total float64
-		for _, v := range props {
-			total += v
-		}
-		if total <= 0 {
-			// Zero propensity without consensus: all rates are zero,
-			// the chain can never reach consensus.
-			break
-		}
-
-		if trackTime {
-			t += src.Exp(total)
-		}
-		u := src.Float64() * total
-		acc := 0.0
-		kind := numEvents - 1
-		for k, v := range props {
-			if v == 0 {
-				continue
-			}
-			acc += v
-			kind = EventKind(k)
-			if u < acc {
+		// Pick the event. Both paths draw one Exp (when time is tracked)
+		// and one Float64, and stop on a zero total propensity without
+		// consensus: all rates are zero, so consensus is unreachable.
+		var kind EventKind
+		if integral && x0|x1 < maxIntCount {
+			ix0, ix1 := int64(x0), int64(x1)
+			c3, c5, total := ir.cumWeights(ix0, ix1)
+			if total == 0 {
 				break
 			}
+			ftotal := float64(total)
+			if trackTime {
+				t += src.Exp(ftotal)
+			}
+			kind = ir.pick(intPoint(src.Float64()*ftotal, total), c3, c5, ix0, ix1)
+		} else {
+			// Propensities, in EventKind order with the exact
+			// expressions of propensities() so the selection is
+			// bit-identical to Step.
+			fx0, fx1 := float64(x0), float64(x1)
+			var props [numEvents]float64
+			props[Birth0] = beta * fx0
+			props[Birth1] = beta * fx1
+			props[Death0] = dlt * fx0
+			props[Death1] = dlt * fx1
+			props[Inter0] = a0 * fx0 * fx1
+			props[Inter1] = a1 * fx0 * fx1
+			props[Intra0] = g0 * fx0 * (fx0 - 1) / 2
+			props[Intra1] = g1 * fx1 * (fx1 - 1) / 2
+			var total float64
+			for _, v := range props {
+				total += v
+			}
+			if total <= 0 {
+				break
+			}
+			if trackTime {
+				t += src.Exp(total)
+			}
+			kind = scanPick(&props, src.Float64()*total)
 		}
 
 		px0, px1 := x0, x1
@@ -403,11 +495,12 @@ func (c *Chain) runToConsensus(maxSteps int) Outcome {
 			if sd {
 				x0--
 				x1--
-			} else if kind == Inter0 {
-				// Initiator 0 survives; the victim is species 1.
-				x1--
 			} else {
-				x0--
+				// The initiator survives: Inter0 kills a 1, Inter1
+				// a 0. Branch-free, as the initiator is a coin flip.
+				k := int(kind - Inter0)
+				x0 -= k
+				x1 -= 1 - k
 			}
 		case Intra0:
 			if sd {

@@ -1,6 +1,7 @@
 package lv
 
 import (
+	"math"
 	"testing"
 
 	"lvmajority/internal/rng"
@@ -101,6 +102,15 @@ func TestFusedKernelByteIdenticalToStepLoop(t *testing.T) {
 		{"tie-start", Neutral(1, 1, 1, 0, SelfDestructive), State{X0: 20, X1: 20}, RunOptions{}},
 		{"minority-is-x0", Neutral(1, 1, 1, 0, SelfDestructive), State{X0: 15, X1: 25}, RunOptions{}},
 		{"already-consensus", Neutral(1, 1, 1, 0, SelfDestructive), State{X0: 10, X1: 0}, RunOptions{}},
+		// Integral rates other than 1 run the integer pick.
+		{"int-rates-SD", Params{Beta: 2, Delta: 1, Alpha: [2]float64{3, 1}, Gamma: [2]float64{2, 0}, Competition: SelfDestructive}, State{X0: 30, X1: 24}, RunOptions{}},
+		{"int-rates-NSD", Params{Beta: 2, Delta: 1, Alpha: [2]float64{3, 1}, Gamma: [2]float64{2, 0}, Competition: NonSelfDestructive}, State{X0: 30, X1: 24}, RunOptions{TrackTime: true}},
+		// A growing chain that starts on the integer pick and leaves its
+		// count bound mid-run, finishing on the float scan.
+		{"int-to-float", Neutral(2, 1, 0, 0, SelfDestructive), State{X0: maxIntCount - 3, X1: maxIntCount - 2}, RunOptions{MaxSteps: 300}},
+		// The largest rate the integer pick takes, and one past it.
+		{"rate-2^10", Params{Beta: 1, Delta: 1, Alpha: [2]float64{maxIntRate, 1}, Gamma: [2]float64{1, maxIntRate}, Competition: NonSelfDestructive}, State{X0: 40, X1: 30}, RunOptions{}},
+		{"rate-2^10+1", Params{Beta: 1, Delta: 1, Alpha: [2]float64{maxIntRate + 1, 1}, Gamma: [2]float64{1, maxIntRate}, Competition: NonSelfDestructive}, State{X0: 40, X1: 30}, RunOptions{}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -113,8 +123,102 @@ func TestFusedKernelByteIdenticalToStepLoop(t *testing.T) {
 				if got != want {
 					t.Fatalf("seed %d: fused kernel diverged:\n got %+v\nwant %+v", seed, got, want)
 				}
+				if tc.name == "int-to-float" && max(got.Final.X0, got.Final.X1) < maxIntCount {
+					t.Fatalf("seed %d: chain ended at %+v without leaving the integer pick", seed, got.Final)
+				}
 			}
 		})
+	}
+}
+
+// TestIntegralRates pins the integer pick's rate precondition: integers up
+// to maxIntRate, zero included.
+func TestIntegralRates(t *testing.T) {
+	for _, tc := range []struct {
+		params Params
+		want   bool
+	}{
+		{Neutral(1, 1, 1, 0, SelfDestructive), true},
+		{Neutral(0, 0, 0, 0, SelfDestructive), true},
+		{Neutral(maxIntRate, 1, 1, 1, SelfDestructive), true},
+		{Neutral(maxIntRate+1, 1, 1, 1, SelfDestructive), false},
+		{Neutral(1, 1, 0.5, 0.5, NonSelfDestructive), false},
+		{Params{Beta: 1, Delta: 1, Gamma: [2]float64{0, 1.25}, Competition: SelfDestructive}, false},
+	} {
+		if _, got := integralRates(tc.params); got != tc.want {
+			t.Errorf("integralRates(%v) = %v, want %v", tc.params, got, tc.want)
+		}
+	}
+}
+
+// TestIntPickMatchesScan drives the integer pick and the float scan with
+// the same point u and demands the same channel: at every cumulative
+// boundary c_k, just below it, at 0, at u == total (the rounding case, which
+// must give the last positive channel) and at random points, over random
+// states up to the count bound and random integral rates up to the rate
+// bound, with zero-weight channels throughout.
+func TestIntPickMatchesScan(t *testing.T) {
+	src := rng.New(11)
+	rateChoices := []float64{0, 1, 2, 3, 7, maxIntRate}
+	rate := func() float64 { return rateChoices[src.Intn(len(rateChoices))] }
+	count := func() int {
+		switch src.Intn(4) {
+		case 0:
+			return src.Intn(3)
+		case 1:
+			return maxIntCount - 1 - src.Intn(3)
+		default:
+			return src.Intn(maxIntCount)
+		}
+	}
+	checked := 0
+	for i := 0; i < 20000; i++ {
+		p := Params{
+			Beta: rate(), Delta: rate(),
+			Alpha:       [2]float64{rate(), rate()},
+			Gamma:       [2]float64{rate(), rate()},
+			Competition: SelfDestructive,
+		}
+		s := State{X0: count(), X1: count()}
+		w, ok := integralRates(p)
+		if !ok {
+			t.Fatalf("integralRates rejected %v", p)
+		}
+		x0, x1 := int64(s.X0), int64(s.X1)
+		c3, c5, total := w.cumWeights(x0, x1)
+		props, ftotal := propensities(p, s)
+		if ftotal != float64(total) {
+			t.Fatalf("%v %+v: float total %v, integer total %d", p, s, ftotal, total)
+		}
+		if total == 0 {
+			continue
+		}
+		points := []float64{0, ftotal, src.Float64() * ftotal}
+		acc := 0.0
+		for _, v := range props {
+			acc += v
+			points = append(points, acc, math.Nextafter(acc, 0))
+		}
+		for _, u := range points {
+			want := scanPick(&props, u)
+			if got := w.pick(intPoint(u, total), c3, c5, x0, x1); got != want {
+				t.Fatalf("%v %+v u=%v: integer pick %v, float scan %v (props %v)", p, s, u, got, want, props)
+			}
+			if props[want] == 0 {
+				t.Fatalf("%v %+v u=%v: picked zero-weight channel %v", p, s, u, want)
+			}
+			if u == ftotal {
+				for k := want + 1; k < numEvents; k++ {
+					if props[k] != 0 {
+						t.Fatalf("%v %+v u=total: picked %v, not the last positive channel %v", p, s, want, k)
+					}
+				}
+			}
+			checked++
+		}
+	}
+	if checked < 100000 {
+		t.Fatalf("only %d points checked", checked)
 	}
 }
 
