@@ -73,10 +73,24 @@ const (
 	TieIsCoinFlip
 )
 
+// The LV trial engines an LVProtocol selects. Both sample the same law of
+// the trial's outcome from different random streams.
+const (
+	// LVEngineEvent is the fused event kernel (lv.Run), the default.
+	LVEngineEvent = "event"
+	// LVEngineSkip is the winner-only skip engine (lv.RunSkip), which
+	// jumps over runs of competitive events; it needs rates that pass
+	// lv.CheckSkip.
+	LVEngineSkip = "skip"
+)
+
 // LVProtocol adapts a Lotka–Volterra chain to the Protocol interface.
 type LVProtocol struct {
 	// Params are the LV rate constants.
 	Params lv.Params
+	// Engine selects the trial kernel: "" or LVEngineEvent, or
+	// LVEngineSkip.
+	Engine string
 	// Ties selects the double-extinction scoring (default TieIsLoss).
 	Ties TieBreak
 	// MaxSteps bounds each trial; 0 uses lv.DefaultMaxSteps. Trials that
@@ -97,9 +111,15 @@ func (p LVProtocol) Name() string {
 // CacheKey identifies the protocol's dynamics for persistent probe caches
 // (see internal/sweep): unlike Name, it ignores the cosmetic Label and
 // encodes every field that changes trial outcomes, so redefining a labelled
-// protocol invalidates its cached probes.
+// protocol invalidates its cached probes. The skip engine draws a
+// different stream, so its keys end in |engine=skip; the event engine
+// keeps the historical keys.
 func (p LVProtocol) CacheKey() string {
-	return fmt.Sprintf("%s|ties=%d|maxsteps=%d", p.Params.String(), p.Ties, p.MaxSteps)
+	key := fmt.Sprintf("%s|ties=%d|maxsteps=%d", p.Params.String(), p.Ties, p.MaxSteps)
+	if p.Engine == LVEngineSkip {
+		key += "|engine=skip"
+	}
+	return key
 }
 
 // Trial implements Protocol.
@@ -108,7 +128,16 @@ func (p LVProtocol) Trial(n, delta int, src *rng.Source) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	out, err := lv.Run(p.Params, lv.State{X0: a, X1: b}, src, lv.RunOptions{MaxSteps: p.MaxSteps})
+	initial := lv.State{X0: a, X1: b}
+	var out lv.Outcome
+	switch p.Engine {
+	case "", LVEngineEvent:
+		out, err = lv.Run(p.Params, initial, src, lv.RunOptions{MaxSteps: p.MaxSteps})
+	case LVEngineSkip:
+		out, err = lv.RunSkip(p.Params, initial, src, p.MaxSteps)
+	default:
+		err = fmt.Errorf("consensus: unknown LV engine %q (want event or skip)", p.Engine)
+	}
 	if err != nil {
 		return false, err
 	}

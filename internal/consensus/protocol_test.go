@@ -169,3 +169,50 @@ func TestLVProtocolTieBreaks(t *testing.T) {
 		t.Errorf("coin-flip tie break won %d/%d, want ~half", heads, trials)
 	}
 }
+
+// TestLVProtocolEngines pins the engine selector: the event engine (named
+// or not) keeps the historical cache key, the skip engine gets its own,
+// unknown names and unsupported rates fail the trial, and the skip engine
+// scores double extinction through Ties like the event engine.
+func TestLVProtocolEngines(t *testing.T) {
+	params := lv.Neutral(1, 1, 1, 0, lv.NonSelfDestructive)
+	const historical = "lv(non-self-destructive, beta=1 delta=1 alpha=[1 1] gamma=[0 0])|ties=0|maxsteps=0"
+	for _, engine := range []string{"", LVEngineEvent} {
+		if key := (LVProtocol{Params: params, Engine: engine}).CacheKey(); key != historical {
+			t.Errorf("engine %q: cache key %q, want %q", engine, key, historical)
+		}
+	}
+	if key := (LVProtocol{Params: params, Engine: LVEngineSkip}).CacheKey(); key != historical+"|engine=skip" {
+		t.Errorf("skip cache key %q", key)
+	}
+	if _, err := (LVProtocol{Params: params, Engine: "warp"}).Trial(100, 20, rng.New(1)); err == nil {
+		t.Error("unknown engine ran a trial")
+	}
+	gamma := lv.Neutral(1, 1, 1, 1, lv.SelfDestructive)
+	if _, err := (LVProtocol{Params: gamma, Engine: LVEngineSkip}).Trial(100, 20, rng.New(1)); err == nil {
+		t.Error("skip engine ran a chain with intraspecific competition")
+	}
+
+	// SD competition alone from (1, 1) always ends in (0, 0).
+	coin := LVProtocol{Params: lv.Neutral(0, 0, 1, 0, lv.SelfDestructive), Ties: TieIsCoinFlip, Engine: LVEngineSkip}
+	loss := coin
+	loss.Ties = TieIsLoss
+	src := rng.New(9)
+	heads := 0
+	const trials = 10000
+	for i := 0; i < trials; i++ {
+		if won, err := loss.Trial(2, 0, src); err != nil || won {
+			t.Fatalf("TieIsLoss: won=%v err=%v", won, err)
+		}
+		won, err := coin.Trial(2, 0, src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if won {
+			heads++
+		}
+	}
+	if heads < trials*45/100 || heads > trials*55/100 {
+		t.Errorf("skip engine coin-flip tie break won %d/%d, want ~half", heads, trials)
+	}
+}

@@ -121,6 +121,7 @@ func nsdShapes() (map[string]func(float64) float64, []string) {
 func runTable1SD(cfg Config) ([]*Table, error) {
 	p := consensus.LVProtocol{
 		Params: lv.Neutral(1, 1, 1, 0, lv.SelfDestructive),
+		Engine: consensus.LVEngineSkip,
 		Label:  "SD interspecific LV",
 	}
 	shapes, order := sdShapes()
@@ -140,6 +141,7 @@ func runTable1SD(cfg Config) ([]*Table, error) {
 func runTable1NSD(cfg Config) ([]*Table, error) {
 	p := consensus.LVProtocol{
 		Params: lv.Neutral(1, 1, 1, 0, lv.NonSelfDestructive),
+		Engine: consensus.LVEngineSkip,
 		Label:  "NSD interspecific LV",
 	}
 	shapes, order := nsdShapes()

@@ -23,7 +23,8 @@ import (
 
 // corpusSpecs loads the committed loadgen corpus and appends a sweep spec
 // so the matrix also covers the sweep/probe-cache path the corpus's
-// server-submittable specs avoid.
+// server-submittable specs avoid, and an LV threshold search on the skip
+// engine, which workers must rebuild from the wire model.
 func corpusSpecs(t *testing.T) []scenario.Spec {
 	t.Helper()
 	paths, err := filepath.Glob(filepath.Join("..", "..", "examples", "fleet", "specs", "*.json"))
@@ -47,7 +48,13 @@ func corpusSpecs(t *testing.T) []scenario.Spec {
 	sweepSpec.Seed = 404
 	sweepSpec.Sweep = &scenario.SweepSpec{Grid: []int{16, 32}, Trials: 300, Target: 0.9, Lanes: 2}
 	sweepSpec.Cache = &scenario.CacheSpec{Policy: scenario.CacheShared}
-	specs = append(specs, sweepSpec)
+	skipSpec := scenario.New(scenario.TaskThreshold)
+	skipSpec.Model = &scenario.Model{Kind: scenario.ModelLV, LV: &scenario.LVModel{
+		Beta: 1, Death: 1, Alpha0: 1, Alpha1: 1, Competition: "nsd", Engine: "skip",
+	}}
+	skipSpec.Seed = 405
+	skipSpec.Threshold = &scenario.ThresholdSpec{N: 256, Trials: 600}
+	specs = append(specs, sweepSpec, skipSpec)
 	return specs
 }
 

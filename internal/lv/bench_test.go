@@ -39,23 +39,31 @@ func BenchmarkRunNSD(b *testing.B) {
 	}
 }
 
-// BenchmarkLVKernel measures the fused event kernel on full consensus runs
+// BenchmarkLVKernel measures the LV trial kernels on full consensus runs
 // at n = 4096, started at the gap of the T1 sweeps' Ψ(4096), reporting ns
-// per event. SD and NSD have integral rates and run the integer pick; frac
-// halves every SD rate, which leaves the jump chain and even its event
-// sequence unchanged but makes the rates non-integral, so it runs the same
-// trajectories through the float scan. The allocs/op column is the
-// kernel's zero-allocation guarantee: entire replicated runs produce no
+// per event (chain step) and ns per trial. SD and NSD have integral rates
+// and run the event kernel's integer pick; frac halves every SD rate,
+// which leaves the jump chain and even its event sequence unchanged but
+// makes the rates non-integral, so it runs the same trajectories through
+// the float scan. SD-skip and NSD-skip run the skip engine (RunSkip) on
+// the SD and NSD chains; their ns/event divides by every chain step,
+// skipped competitive steps included. The allocs/op column is the
+// kernels' zero-allocation guarantee: entire replicated runs produce no
 // garbage.
 func BenchmarkLVKernel(b *testing.B) {
+	sd, nsd := Neutral(1, 1, 1, 0, SelfDestructive), Neutral(1, 1, 1, 0, NonSelfDestructive)
+	sdStart, nsdStart := State{X0: 2056, X1: 2040}, State{X0: 2162, X1: 1934}
 	cases := []struct {
 		name    string
 		params  Params
 		initial State
+		skip    bool
 	}{
-		{"SD", Neutral(1, 1, 1, 0, SelfDestructive), State{X0: 2056, X1: 2040}},
-		{"NSD", Neutral(1, 1, 1, 0, NonSelfDestructive), State{X0: 2162, X1: 1934}},
-		{"frac", Neutral(0.5, 0.5, 0.5, 0, SelfDestructive), State{X0: 2056, X1: 2040}},
+		{"SD", sd, sdStart, false},
+		{"NSD", nsd, nsdStart, false},
+		{"frac", Neutral(0.5, 0.5, 0.5, 0, SelfDestructive), sdStart, false},
+		{"SD-skip", sd, sdStart, true},
+		{"NSD-skip", nsd, nsdStart, true},
 	}
 	for _, tc := range cases {
 		b.Run(tc.name, func(b *testing.B) {
@@ -63,7 +71,13 @@ func BenchmarkLVKernel(b *testing.B) {
 			b.ReportAllocs()
 			var events int64
 			for i := 0; i < b.N; i++ {
-				out, err := Run(tc.params, tc.initial, src, RunOptions{})
+				var out Outcome
+				var err error
+				if tc.skip {
+					out, err = RunSkip(tc.params, tc.initial, src, 0)
+				} else {
+					out, err = Run(tc.params, tc.initial, src, RunOptions{})
+				}
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -72,7 +86,9 @@ func BenchmarkLVKernel(b *testing.B) {
 				}
 				events += int64(out.Steps)
 			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events), "ns/event")
+			elapsed := float64(b.Elapsed().Nanoseconds())
+			b.ReportMetric(elapsed/float64(events), "ns/event")
+			b.ReportMetric(elapsed/float64(b.N), "ns/trial")
 		})
 	}
 }

@@ -225,26 +225,34 @@ func Filename(id string) string {
 }
 
 // WriteAtomic writes a file produced by generate atomically: content goes
-// to path+".tmp" (creating the directory if needed) and is renamed into
-// place only on success; on any failure the temp file is removed. Both
-// manifest writes and the cmd/report document generators go through it.
+// to a fresh temp file next to path (creating the directory if needed) and
+// is renamed into place only on success; on any failure the temp file is
+// removed. Each call gets its own temp file, so concurrent writers of one
+// path never interleave: the last rename wins with a complete document.
+// Both manifest writes and the cmd/report document generators go through
+// it.
 func WriteAtomic(path string, generate func(io.Writer) error) (err error) {
-	if dir := filepath.Dir(path); dir != "." {
+	dir := filepath.Dir(path)
+	if dir != "." {
 		if err := os.MkdirAll(dir, 0o755); err != nil {
 			return fmt.Errorf("report: creating %s: %w", dir, err)
 		}
 	}
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
+	f, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
 	if err != nil {
-		return fmt.Errorf("report: creating %s: %w", tmp, err)
+		return fmt.Errorf("report: creating temp file for %s: %w", path, err)
 	}
+	tmp := f.Name()
 	defer func() {
 		if err != nil {
 			f.Close()
 			os.Remove(tmp)
 		}
 	}()
+	// CreateTemp opens files 0600; installed documents are readable by all.
+	if err = f.Chmod(0o644); err != nil {
+		return fmt.Errorf("report: chmod %s: %w", tmp, err)
+	}
 	if err = generate(f); err != nil {
 		return err
 	}

@@ -48,8 +48,18 @@ func (m *Model) validate() error {
 		if m.LV == nil || m.Protocol != nil || m.CRN != nil {
 			return fmt.Errorf("scenario: lv model must set exactly the lv field")
 		}
-		if _, err := m.LV.Params(); err != nil {
+		params, err := m.LV.Params()
+		if err != nil {
 			return err
+		}
+		switch m.LV.Engine {
+		case "", consensus.LVEngineEvent:
+		case consensus.LVEngineSkip:
+			if err := lv.CheckSkip(params); err != nil {
+				return fmt.Errorf("scenario: %w", err)
+			}
+		default:
+			return fmt.Errorf("scenario: unknown lv engine %q (want event or skip)", m.LV.Engine)
 		}
 		switch m.LV.Ties {
 		case "", "loss", "coinflip":
@@ -140,9 +150,9 @@ func LVModelOf(p lv.Params) *LVModel {
 // BuildProtocol builds the consensus.Protocol the estimate, threshold, and
 // sweep tasks measure. It is exported for the fabric worker, which receives
 // a Model over the wire and must build exactly the protocol — including any
-// kernel override, which changes how trial streams are consumed — that the
-// coordinator's local run would build; every other caller goes through the
-// Runner.
+// kernel or engine override, which changes how trial streams are consumed
+// — that the coordinator's local run would build; every other caller goes
+// through the Runner.
 func (m *Model) BuildProtocol() (consensus.Protocol, error) {
 	switch m.Kind {
 	case ModelLV:
@@ -156,6 +166,7 @@ func (m *Model) BuildProtocol() (consensus.Protocol, error) {
 		}
 		return consensus.LVProtocol{
 			Params:   params,
+			Engine:   m.LV.Engine,
 			Ties:     ties,
 			MaxSteps: m.LV.MaxSteps,
 			Label:    m.LV.Label,

@@ -29,6 +29,7 @@ import (
 	"os"
 	"time"
 
+	"lvmajority/internal/consensus"
 	"lvmajority/internal/protocols"
 )
 
@@ -133,6 +134,13 @@ type LVModel struct {
 	Ties string `json:"ties,omitempty"`
 	// MaxSteps bounds each consensus trial (0 = the lv package default).
 	MaxSteps int `json:"max_steps,omitempty"`
+	// Engine selects the consensus-trial kernel: "" or "event" (the
+	// event kernel), or "skip", which samples the same law by jumping
+	// over runs of competitive events and needs gamma0 = gamma1 = 0 and
+	// alpha0 = alpha1 > 0. The skip engine reports winners and step
+	// counts only, so simulate tasks reject it; exact tasks, which do
+	// not sample, take no engine.
+	Engine string `json:"engine,omitempty"`
 	// Label overrides the generated protocol name in tables and logs.
 	Label string `json:"label,omitempty"`
 }
@@ -439,6 +447,9 @@ func (s *Spec) Validate() error {
 			if sm.Echo {
 				return fmt.Errorf("scenario: echo set on an LV simulate spec")
 			}
+			if s.Model.LV.Engine == consensus.LVEngineSkip {
+				return fmt.Errorf("scenario: the skip engine only runs consensus trials; simulate needs the event engine")
+			}
 		case ModelCRN:
 			if sm.A != 0 || sm.B != 0 {
 				return fmt.Errorf("scenario: a/b set on a CRN simulate spec (use init)")
@@ -467,6 +478,9 @@ func (s *Spec) Validate() error {
 		}
 		if s.Model.Kind == ModelProtocol {
 			return fmt.Errorf("scenario: exact supports lv and crn models, not %q", s.Model.Kind)
+		}
+		if s.Model.LV != nil && s.Model.LV.Engine != "" {
+			return fmt.Errorf("scenario: exact solves the chain without sampling; it takes no engine")
 		}
 	case TaskExperiment:
 		if s.Experiment.ID == "" {

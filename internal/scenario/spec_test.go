@@ -5,6 +5,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"lvmajority/internal/consensus"
 )
 
 // sampleSpecs returns one representative valid spec per task, exercising
@@ -191,6 +193,42 @@ func TestSpecValidateRejects(t *testing.T) {
 			s.Threshold = &ThresholdSpec{N: 128}
 			return s
 		},
+		"unknown lv engine": func() Spec {
+			s := New(TaskThreshold)
+			s.Model = &Model{Kind: ModelLV, LV: &LVModel{Beta: 1, Death: 1, Alpha0: 1, Alpha1: 1, Competition: "sd", Engine: "warp"}}
+			s.Threshold = &ThresholdSpec{N: 128}
+			return s
+		},
+		"skip engine with intraspecific competition": func() Spec {
+			s := New(TaskThreshold)
+			s.Model = &Model{Kind: ModelLV, LV: &LVModel{Beta: 1, Death: 1, Alpha0: 1, Alpha1: 1, Gamma0: 1, Competition: "sd", Engine: "skip"}}
+			s.Threshold = &ThresholdSpec{N: 128}
+			return s
+		},
+		"skip engine with unequal alphas": func() Spec {
+			s := New(TaskThreshold)
+			s.Model = &Model{Kind: ModelLV, LV: &LVModel{Beta: 1, Death: 1, Alpha0: 1, Alpha1: 2, Competition: "nsd", Engine: "skip"}}
+			s.Threshold = &ThresholdSpec{N: 128}
+			return s
+		},
+		"skip engine without competition": func() Spec {
+			s := New(TaskThreshold)
+			s.Model = &Model{Kind: ModelLV, LV: &LVModel{Beta: 1, Death: 1, Competition: "nsd", Engine: "skip"}}
+			s.Threshold = &ThresholdSpec{N: 128}
+			return s
+		},
+		"skip engine on simulate": func() Spec {
+			s := New(TaskSimulate)
+			s.Model = &Model{Kind: ModelLV, LV: &LVModel{Beta: 1, Death: 1, Alpha0: 1, Alpha1: 1, Competition: "sd", Engine: "skip"}}
+			s.Simulate = &SimulateSpec{Runs: 5, A: 10, B: 8}
+			return s
+		},
+		"engine on exact": func() Spec {
+			s := New(TaskExact)
+			s.Model = &Model{Kind: ModelLV, LV: &LVModel{Beta: 1, Death: 1, Alpha0: 1, Alpha1: 1, Competition: "sd", Engine: "skip"}}
+			s.Exact = &ExactSpec{A: 5, B: 5}
+			return s
+		},
 		"empty sweep grid": func() Spec {
 			s := New(TaskSweep)
 			s.Model = lvModel
@@ -244,6 +282,36 @@ func TestSpecValidateRejects(t *testing.T) {
 		if err := s.Validate(); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
+	}
+}
+
+// TestLVEngineThreaded checks that BuildProtocol threads the LV engine name
+// through to the protocol (so fabric workers build the same one) and that
+// only the skip engine changes the probe-cache key.
+func TestLVEngineThreaded(t *testing.T) {
+	keys := map[string]string{}
+	for _, engine := range []string{"", "event", "skip"} {
+		s := New(TaskThreshold)
+		s.Model = &Model{Kind: ModelLV, LV: &LVModel{Beta: 1, Death: 1, Alpha0: 1, Alpha1: 1, Competition: "nsd", Engine: engine}}
+		s.Threshold = &ThresholdSpec{N: 128}
+		if err := s.Validate(); err != nil {
+			t.Fatalf("engine %q: %v", engine, err)
+		}
+		p, err := s.Model.BuildProtocol()
+		if err != nil {
+			t.Fatal(err)
+		}
+		lvp, ok := p.(consensus.LVProtocol)
+		if !ok || lvp.Engine != engine {
+			t.Fatalf("engine %q: built %#v", engine, p)
+		}
+		keys[engine] = lvp.CacheKey()
+	}
+	if keys[""] != keys["event"] {
+		t.Errorf("explicit event engine changed the cache key: %q vs %q", keys["event"], keys[""])
+	}
+	if keys["skip"] != keys[""]+"|engine=skip" {
+		t.Errorf("skip cache key %q, want %q", keys["skip"], keys[""]+"|engine=skip")
 	}
 }
 
